@@ -5,14 +5,19 @@
 things are recorded:
 
 * **executions** — every ``runtime.run`` call, with the CPU time of its
-  thread and its :class:`~repro.runtime.emulator.ExecutionResult`.  This
-  clock is on in every run; the end-to-end execution latencies and the
-  exact simulated-cost metrics come from it.  Thread CPU time equals wall
-  time within about 2% for a single thread, and leaves out the time a
-  service worker waits for the interpreter lock its peer holds.
+  thread, its :class:`~repro.runtime.emulator.ExecutionResult` and the
+  campaign job run it belongs to.  This clock is on in every run; the
+  end-to-end execution latencies and the exact simulated-cost metrics
+  come from it.  Thread CPU time equals wall time within about 2% for a
+  single thread, and leaves out the time a service worker waits for the
+  interpreter lock its peer holds.
 * **spans** — (id, name, start, end, parent, thread) around every wrapped
   call, only while :attr:`Tracer.tracing` is set.  They live in memory
   and are written out once, when the run ends.
+
+:class:`HostClock` measures the host's own speed with a fixed reference
+kernel timed next to the work, so that host times can be expressed in
+reference seconds (see its docstring).
 
 A span's parent is the innermost open span of the same thread.  Calls
 made by threads that have no open span (the service's worker threads)
@@ -22,14 +27,20 @@ under the benchmark span that waits for them.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import itertools
 import json
+import signal
+import statistics
+import struct
 import sys
 import threading
 import time
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 #: (module, attribute path, span name).  The span name's first dotted
 #: component is the layer the call belongs to; ``runtime.run`` targets also
@@ -56,11 +67,156 @@ SPAN_TARGETS: Tuple[Tuple[str, str, str], ...] = (
     ("repro.service.core", "FuzzService.submit", "service.submit"),
 )
 
+#: spans that feed the execution clock: the executions themselves, and the
+#: job runs that tag them.
+CLOCK_SPANS = ("runtime.run", "campaign.job")
+
 #: every layer a span name can map to, in report order.  ``bench`` is the
 #: benchmark's own root span: its self time is the part of a measured round
 #: that no wrapped call covers.
 LAYERS = ("bench", "api", "service", "campaign", "fuzzing", "runtime",
           "hardening", "core", "baselines", "minic", "disasm", "rewriting")
+
+
+#: emulated steps of one reference-kernel sample (8-13 ms on a 2-core VM).
+REFERENCE_STEPS = 8000
+#: pages of the reference kernel's memory: 4 MiB, more than the caches of
+#: a small VM hold, like the program's own working set.
+REFERENCE_PAGES = 1024
+#: the CPU time of one reference-kernel sample on the reference host.  A
+#: host time multiplied by ``REFERENCE_S / measured sample`` is in
+#: reference seconds.  The value is a fixed constant (a typical sample on a
+#: 2-core VM); only its being fixed matters.
+REFERENCE_S = 0.011
+#: host seconds between two samples taken by :meth:`HostClock.sampling`.
+SAMPLE_EVERY_S = 0.2
+
+_U4 = struct.Struct("<I")
+
+
+class _Machine:
+    __slots__ = ("regs", "pages", "pc", "flag")
+
+    def __init__(self) -> None:
+        self.regs = [0] * 16
+        self.pages = {index: bytearray(4096)
+                      for index in range(REFERENCE_PAGES)}
+        self.pc = 0
+        self.flag = 0
+
+
+def _step(machine: _Machine, word: int) -> None:
+    regs = machine.regs
+    left = regs[word & 15]
+    value = (left + regs[(word >> 4) & 15] + word) & 0xFFFFFFFF
+    regs[(word >> 2) & 15] = value
+    page = machine.pages[(value >> 12) % REFERENCE_PAGES]
+    offset = value & 0xFFC
+    _U4.pack_into(page, offset,
+                  (_U4.unpack_from(page, offset)[0] ^ value) & 0xFFFFFFFF)
+    machine.flag = 1 if value < left else 0
+    machine.pc += 4
+
+
+def reference_kernel(machine: _Machine,
+                     steps: int = REFERENCE_STEPS) -> int:
+    """A fixed, emulator-shaped loop that uses nothing from ``repro``.
+
+    Register-file indexing, page-dictionary lookups, ``struct`` loads and
+    stores into ``bytearray`` pages spread over 4 MiB, and a function call
+    per step: the kinds of work the jit engine's generated code does, so
+    the kernel slows down with the host the way the program does.
+    """
+    machine.regs = [0] * 16
+    machine.pc = 0
+    for index in range(steps):
+        _step(machine, (index * 2654435761) & 0xFFFFFF)
+    return machine.pc
+
+
+class HostClock:
+    """The host's speed, sampled with :func:`reference_kernel`.
+
+    On a shared VM the same work takes up to 40% longer a few minutes
+    later, and process CPU time moves with wall time, so raw host times of
+    two runs are not comparable.  Within a run the host also flips between
+    a fast and a slow state every second or so: samples a few tenths of a
+    second apart read 7 or 13 ms.  The reference kernel slows down with the
+    host.  In seven processes on a 2-core VM, the median jsmn execution
+    took 113 to 172 ms, while its ratio to the kernel's time next to it
+    stayed between 13.2 and 13.8.  (With the kernel's memory in 64 pages
+    instead of 1024 the ratio moved by 11%: a kernel that fits in the
+    caches speeds up more than the program when the host is fast.)  A sample
+    times the kernel on the calling thread's CPU clock with the garbage
+    collector off, so the program's heap is never scanned inside it.
+
+    :meth:`sampling` takes a sample every ``SAMPLE_EVERY_S`` while the
+    program runs, from a timer signal handled on the main thread, so the
+    samples are spread evenly over time whatever the program is doing.
+    :meth:`scale` turns host seconds measured between two instants into
+    reference seconds: the mean of ``REFERENCE_S / sample`` over the
+    samples taken in between, that is, the mean speed of the host relative
+    to the reference host.  A mean, not a median, because the two states
+    make the samples bimodal.  The kernel depends only on this file, so a
+    change to the program moves reference seconds exactly as it moves host
+    seconds.  A sample taken inside an execution on the main thread adds
+    its CPU time to the execution's; :meth:`between` gives it back, so
+    that it can be taken off.
+    """
+
+    def __init__(self) -> None:
+        #: perf_counter when each sample ended, in order, and its CPU time.
+        self.times: List[float] = []
+        self.cpus: List[float] = []
+        #: wall seconds spent sampling; measured intervals subtract it.
+        self.spent = 0.0
+        self._machine = _Machine()
+
+    def sample(self, count: int = 1) -> None:
+        began = time.perf_counter()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(count):
+                started = time.thread_time()
+                reference_kernel(self._machine)
+                cpu = time.thread_time() - started
+                self.times.append(time.perf_counter())
+                self.cpus.append(cpu)
+        finally:
+            if enabled:
+                gc.enable()
+        self.spent += time.perf_counter() - began
+
+    @contextmanager
+    def sampling(self) -> Iterator[None]:
+        """Sample every ``SAMPLE_EVERY_S`` host seconds inside the block."""
+        previous = signal.signal(signal.SIGALRM, lambda *_: self.sample())
+        signal.setitimer(signal.ITIMER_REAL, SAMPLE_EVERY_S, SAMPLE_EVERY_S)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def between(self, start: float, end: float) -> List[float]:
+        """CPU seconds of the samples that ended between the two instants."""
+        return self.cpus[bisect_left(self.times, start):
+                         bisect_right(self.times, end)]
+
+    def scale(self, start: float, end: float,
+              default: Optional[float] = None) -> float:
+        """Reference seconds per host second between ``start`` and ``end``.
+
+        ``default`` when no sample was taken in between.
+        """
+        inside = self.between(start, end)
+        if not inside and default is not None:
+            return default
+        return statistics.fmean(REFERENCE_S / cpu for cpu in inside)
+
+    def median_s(self) -> float:
+        return statistics.median(self.cpus)
 
 
 class Span:
@@ -84,31 +240,47 @@ class Span:
                 "thread": self.thread, "run_id": run_id}
 
 
+class Execution(NamedTuple):
+    """One ``runtime.run`` call."""
+
+    #: CPU time of the calling thread.
+    seconds: float
+    result: object
+    #: (JobSpec, run number) of the campaign job run that made the call,
+    #: or None outside campaign jobs.
+    job: Optional[Tuple[object, int]]
+    #: perf_counter at the call's start and end.
+    start: float
+    end: float
+    #: whether the call ran on the main thread, where host samples land.
+    main: bool
+
+
 class Tracer:
     """Execution clock plus optional layer spans around wrapped calls."""
 
     def __init__(self, run_id: str) -> None:
         self.run_id = run_id
-        #: (thread CPU seconds, ExecutionResult) per ``runtime.run`` call.
-        self.execs: List[Tuple[float, object]] = []
+        self.execs: List[Execution] = []
         self.spans: List[Span] = []
         #: record spans only while set (the exec clock always runs).
         self.tracing = False
         #: parent of spans opened by threads with no open span of their own.
         self.adopt_parent: Optional[int] = None
         self._ids = itertools.count(1)
+        self._job_runs = itertools.count(1)
         self._local = threading.local()
         self._patches: List[Tuple[object, str, object]] = []
 
     # -- installation --------------------------------------------------------
     def install(self, spans: bool) -> None:
-        """Wrap the ``runtime.run`` targets, and every target if ``spans``.
+        """Wrap the ``CLOCK_SPANS`` targets, and every target if ``spans``.
 
         A missing target raises: the benchmark is pinned to these public
         names and must not silently measure less than it claims.
         """
         for module_name, path, span_name in SPAN_TARGETS:
-            if spans or span_name == "runtime.run":
+            if spans or span_name in CLOCK_SPANS:
                 self._wrap(module_name, path, span_name)
 
     def uninstall(self) -> None:
@@ -138,23 +310,34 @@ class Tracer:
 
     def _wrapper(self, original: Callable, span_name: str) -> Callable:
         tracer = self
+        local = self._local
         clock = span_name == "runtime.run"
+        job = span_name == "campaign.job"
+
+        def call(args, kwargs):
+            if job:
+                outer = getattr(local, "job", None)
+                local.job = (args[0], next(tracer._job_runs))
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    local.job = outer
+            if not clock:
+                return original(*args, **kwargs)
+            began = time.perf_counter()
+            started = time.thread_time()
+            result = original(*args, **kwargs)
+            tracer.execs.append(Execution(
+                time.thread_time() - started, result,
+                getattr(local, "job", None), began, time.perf_counter(),
+                threading.current_thread() is threading.main_thread()))
+            return result
 
         def wrapped(*args, **kwargs):
             if not tracer.tracing:
-                if not clock:
-                    return original(*args, **kwargs)
-                started = time.thread_time()
-                result = original(*args, **kwargs)
-                tracer.execs.append((time.thread_time() - started, result))
-                return result
+                return call(args, kwargs)
             with tracer.span(span_name):
-                started = time.thread_time()
-                result = original(*args, **kwargs)
-                if clock:
-                    tracer.execs.append(
-                        (time.thread_time() - started, result))
-                return result
+                return call(args, kwargs)
 
         wrapped.__wrapped__ = original
         wrapped.__name__ = getattr(original, "__name__", span_name)

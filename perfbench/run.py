@@ -15,6 +15,10 @@ result when the program under ``src/`` cannot be imported or run.
 
 ``--seconds 0`` is the smallest run: one round (two with ``--trace 1``)
 and one set-up probe.
+
+Host times are reported in reference seconds: each is scaled by the
+host's speed, sampled next to it with ``harness.HostClock``.  The raw
+host figures go to standard error.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -38,15 +43,23 @@ STATE_DIR = os.path.join(ROOT, ".perfbench")
 #: fresh processes timed for ``setup_s``; the median is reported.
 SETUP_PROBES = 3
 PROBE_TIMEOUT_S = 120
+#: reference-kernel samples taken right before and right after each round
+#: and each set-up probe.
+EDGE_SAMPLES = 3
 
 
 @dataclass
 class Round:
     """One measured round of a workload."""
 
+    #: host seconds, less the time spent sampling the host's speed.
     seconds: float
-    #: (thread CPU seconds, ExecutionResult) of every ``runtime.run`` call.
-    execs: List[Tuple[float, object]]
+    #: reference seconds per host second over the round (``HostClock``).
+    scale: float
+    #: every ``runtime.run`` call of the round (``harness.Execution``).
+    execs: List
+    #: the calls that did counted work (all of them, but for the service).
+    counted: List
     exact: Dict
     traced: bool
     root: Optional[int]
@@ -81,22 +94,33 @@ def probe_main(args) -> int:
     return 0
 
 
-def measure_setup(args, work: str) -> List[float]:
-    """Process start to first execution, in fresh processes, cold cache."""
+def measure_setup(args, work: str, host) -> List[Tuple[float, float]]:
+    """Process start to first execution, in fresh processes, cold cache.
+
+    Returns (host seconds, reference seconds per host second) per probe.
+    """
     probes = SETUP_PROBES if args.seconds > 0 else 1
     times = []
     for index in range(probes):
         probe_dir = os.path.join(work, f"probe-{index}")
         os.makedirs(probe_dir)
+        window = time.perf_counter()
+        host.sample(EDGE_SAMPLES)
         started = time.monotonic()
-        done = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--probe",
-             "--workload", args.workload, "--seed", str(args.seed),
-             "--work", probe_dir],
-            capture_output=True, text=True, timeout=PROBE_TIMEOUT_S, cwd=ROOT)
+        # The probe runs on one core; this process samples the host's
+        # speed on another while it waits.
+        with host.sampling():
+            done = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--probe",
+                 "--workload", args.workload, "--seed", str(args.seed),
+                 "--work", probe_dir],
+                capture_output=True, text=True, timeout=PROBE_TIMEOUT_S,
+                cwd=ROOT)
         if done.returncode != 0:
             raise RuntimeError(f"set-up probe failed:\n{done.stderr}")
-        times.append(float(done.stdout.split()[-1]) - started)
+        seconds = float(done.stdout.split()[-1]) - started
+        host.sample(EDGE_SAMPLES)
+        times.append((seconds, host.scale(window, time.perf_counter())))
         shutil.rmtree(probe_dir)
     return times
 
@@ -105,7 +129,8 @@ def exec_totals(execs) -> Dict:
     """Simulated sums over a list of executions."""
     spec: Counter = Counter()
     totals = Counter()
-    for _, result in execs:
+    for execution in execs:
+        result = execution.result
         totals["cycles"] += result.cycles
         totals["steps"] += result.steps
         totals["reports"] += len(result.reports)
@@ -119,16 +144,22 @@ def round_totals(item: Round) -> Dict:
     return item.exact.get("totals") or exec_totals(item.execs)
 
 
-def run_rounds(workload, tracer, seconds: float, trace: bool):
+def run_rounds(workload, tracer, host, seconds: float, trace: bool):
     """Closed loop of measured rounds; alternate traced rounds if tracing.
 
     The number of rounds depends only on ``seconds`` and the workload's
     nominal round length, so every run does the same work whatever the
     host's speed.  A host so slow that the rounds take more than half as
     long again as planned ends the loop early.
+
+    The host's speed is sampled right before and after each round, and
+    evenly through untraced rounds; the time spent sampling inside a round
+    is left out of the round's time.  Traced rounds are sampled at their
+    edges only, so that no span times the sampling.
     """
     from repro.runtime.jitcache import shared_cache
 
+    counted = getattr(workload, "counted", list)
     planned = max(2 if trace else 1,
                   round(seconds / workload.nominal_round_s))
     deadline = time.perf_counter() + 1.5 * planned * workload.nominal_round_s
@@ -137,12 +168,20 @@ def run_rounds(workload, tracer, seconds: float, trace: bool):
     while True:
         tracer.tracing = trace and len(rounds) % 2 == 0
         first_exec = len(tracer.execs)
-        with tracer.span("bench.round") as root:
+        window = time.perf_counter()
+        host.sample(EDGE_SAMPLES)
+        with tracer.span("bench.round") as root, (
+                nullcontext() if tracer.tracing else host.sampling()):
+            spent = host.spent
             round_started = time.perf_counter()
             exact = workload.round()
-            elapsed = time.perf_counter() - round_started
-        rounds.append(Round(elapsed, tracer.execs[first_exec:], exact,
-                            tracer.tracing, root))
+            elapsed = (time.perf_counter() - round_started
+                       - (host.spent - spent))
+        host.sample(EDGE_SAMPLES)
+        execs = tracer.execs[first_exec:]
+        rounds.append(Round(elapsed, host.scale(window, time.perf_counter()),
+                            execs, counted(execs), exact, tracer.tracing,
+                            root))
         tracer.tracing = False
         if len(rounds) == 1:
             jit_stats = dict(shared_cache().stats)
@@ -159,18 +198,52 @@ def repeat_failures(rounds: List[Round]) -> List[str]:
             if (item.exact, round_totals(item)) != first]
 
 
-def end_to_end(rounds, setup, peak_rss_mb, attempted, failed) -> Dict:
+def host_figures(rounds, setup, host, scaled: bool) -> Dict:
+    """The host-time end-to-end figures, in reference or in host seconds."""
     median = statistics.median
     totals = round_totals(rounds[0])
-    durations = [seconds for r in rounds for seconds, _ in r.execs]
+    durations = exec_durations(rounds, host, scaled)
+    seconds = [r.seconds * (r.scale if scaled else 1.0) for r in rounds]
     return {
-        "setup_s": median(setup),
-        "round_s": median([r.seconds for r in rounds]),
-        "exec_per_s": median([totals["executions"] / r.seconds
-                              for r in rounds]),
+        "setup_s": median([s * (scale if scaled else 1.0)
+                           for s, scale in setup]),
+        "round_s": median(seconds),
+        "exec_per_s": median([totals["executions"] / s for s in seconds]),
         "exec_p50_ms": median(durations) * 1e3,
         "exec_p90_ms": statistics.quantiles(
             durations, n=10, method="inclusive")[8] * 1e3,
+    }
+
+
+def exec_seconds(item: Round, execution, host, scaled: bool = True) -> float:
+    """One ``runtime.run`` call's thread CPU time, less host samples.
+
+    A timer sample can land inside an execution on the main thread; its
+    CPU time is taken off.  The time is scaled by the host's speed around
+    the execution (the samples up to one sampling interval either side),
+    or by the round's when none was taken that close (traced rounds).
+    """
+    from harness import SAMPLE_EVERY_S
+
+    cpu = execution.seconds
+    if execution.main:
+        cpu -= sum(host.between(execution.start, execution.end))
+    if not scaled:
+        return cpu
+    return cpu * host.scale(execution.start - SAMPLE_EVERY_S,
+                            execution.end + SAMPLE_EVERY_S, item.scale)
+
+
+def exec_durations(rounds, host, scaled: bool = True) -> List[float]:
+    """CPU time of every counted ``runtime.run`` call of the rounds."""
+    return [exec_seconds(r, e, host, scaled)
+            for r in rounds for e in r.counted]
+
+
+def end_to_end(rounds, setup, host, peak_rss_mb, attempted, failed) -> Dict:
+    totals = round_totals(rounds[0])
+    return {
+        **host_figures(rounds, setup, host, scaled=True),
         "sim_cycles_per_exec": totals["cycles"] / totals["executions"],
         "spec_edges": rounds[0].exact["spec_edges"],
         "peak_rss_mb": peak_rss_mb,
@@ -178,7 +251,8 @@ def end_to_end(rounds, setup, peak_rss_mb, attempted, failed) -> Dict:
     }
 
 
-def per_layer(workload, tracer, rounds, jit_stats, prepare_root) -> Dict:
+def per_layer(workload, tracer, host, rounds, jit_stats,
+              prepare_root) -> Dict:
     from harness import LAYERS, descendants, self_times
 
     median = statistics.median
@@ -213,9 +287,9 @@ def per_layer(workload, tracer, rounds, jit_stats, prepare_root) -> Dict:
     runs = totals["executions"]
     spec = totals["spec_stats"]
     exact = rounds[0].exact
-    durations = [seconds for r in rounds for seconds, _ in r.execs]
+    durations = exec_durations(rounds, host)
     performed = sum(len(r.execs) for r in rounds)
-    steps = sum(exec_totals(r.execs)["steps"] for r in rounds)
+    steps = sum(exec_totals(r.counted)["steps"] for r in rounds)
 
     from repro.campaign.worker import compiled_binary, instrumented_binary
 
@@ -226,14 +300,14 @@ def per_layer(workload, tracer, rounds, jit_stats, prepare_root) -> Dict:
                for layer in LAYERS}
     metrics.update({
         "trace.overhead_pct": 100.0 * (
-            median([r.seconds for r in traced])
-            / median([r.seconds for r in plain]) - 1.0),
+            median([r.seconds * r.scale for r in traced])
+            / median([r.seconds * r.scale for r in plain]) - 1.0),
         "trace.thread_time_pct": 100.0 * total_self / sum(r.seconds
                                                           for r in traced),
         "runtime.wasted_exec_pct": 100.0 * (
             1.0 - runs * len(rounds) / performed),
-        "runtime.exec_busy_s": median([sum(s for s, _ in r.execs)
-                                       for r in rounds]),
+        "runtime.exec_busy_s": median([
+            sum(exec_seconds(r, e, host) for e in r.execs) for r in rounds]),
         "runtime.ns_per_step": 1e9 * sum(durations) / steps,
         "runtime.steps_per_exec": totals["steps"] / runs,
         "runtime.speculation.simulations_per_exec":
@@ -276,6 +350,7 @@ def per_layer(workload, tracer, rounds, jit_stats, prepare_root) -> Dict:
         "outcome.unique_gadgets": exact["unique_gadgets"],
         "outcome.residual_sites": exact["residual_sites"],
         "outcome.hardened_overhead": exact["hardened_overhead"],
+        "host.ref_ms": host.median_s() * 1e3,
     })
     service_counts = getattr(workload, "service_counts", None)
     if service_counts is not None:
@@ -284,7 +359,10 @@ def per_layer(workload, tracer, rounds, jit_stats, prepare_root) -> Dict:
 
 
 def run(args, work: str) -> Dict:
-    setup = [] if args.trace else measure_setup(args, work)
+    from harness import HostClock
+
+    host = HostClock()
+    setup = [] if args.trace else measure_setup(args, work, host)
     use_program(work)
     from harness import Tracer
     from workloads import WORKLOADS
@@ -297,7 +375,7 @@ def run(args, work: str) -> Dict:
         tracer.tracing = bool(args.trace)
         with tracer.span("bench.prepare") as prepare_root:
             workload.prepare()
-        rounds, jit_stats = run_rounds(workload, tracer, args.seconds,
+        rounds, jit_stats = run_rounds(workload, tracer, host, args.seconds,
                                        bool(args.trace))
         peak_rss_mb = resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -307,11 +385,16 @@ def run(args, work: str) -> Dict:
                      + checked + len(rounds) - 1)
         failed = sum(r.exact["failed_jobs"] for r in rounds) + len(failures)
         if args.trace:
-            metrics = per_layer(workload, tracer, rounds, jit_stats,
+            metrics = per_layer(workload, tracer, host, rounds, jit_stats,
                                 prepare_root)
         else:
-            metrics = end_to_end(rounds, setup, peak_rss_mb, attempted,
-                                 failed)
+            metrics = end_to_end(rounds, setup, host, peak_rss_mb,
+                                 attempted, failed)
+            raw = host_figures(rounds, setup, host, scaled=False)
+            print("host seconds (unscaled): "
+                  + ", ".join(f"{k}={v:.4g}" for k, v in raw.items())
+                  + f"; reference kernel median {host.median_s() * 1e3:.3f}"
+                  " ms", file=sys.stderr)
     finally:
         workload.close()
         tracer.uninstall()
