@@ -93,7 +93,7 @@ def bench_scale():
 def bench_record():
     """Record machine-readable metrics for the current benchmark.
 
-    Usage: ``bench_record("emulator_throughput", engine="fast",
+    Usage: ``bench_record("emulator_throughput", engine="jit",
     exec_per_sec=1234.5, cycles=...)``.  All metrics recorded under one
     name are merged into a single ``BENCH_<name>.json`` at session end.
     """

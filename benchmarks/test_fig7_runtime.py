@@ -19,7 +19,7 @@ def test_figure7_normalized_runtime(benchmark, bench_record):
     )
     bench_record(
         "fig7_runtime",
-        engine="fast",
+        engine="jit",
         cycles={row.program: {"native": row.native_cycles, **row.tool_cycles}
                 for row in rows},
         normalized={row.program: row.as_dict() for row in rows},

@@ -30,7 +30,7 @@ def test_hardening_overhead_matrix(bench_record):
 
     bench_record(
         "hardening_overhead",
-        engine="fast",
+        engine="jit",
         cycles={strategy: result.hardened_cycles
                 for strategy, result in row.results.items()},
         native_cycles=next(iter(row.results.values())).native_cycles,

@@ -59,13 +59,13 @@ def _build_fuzzer(binary, target, seed: int) -> Fuzzer:
 
 
 def _baseline_rate(name: str):
-    """The recorded fast-engine exec/s baseline, or None off-CI."""
+    """The recorded default-engine (jit) exec/s baseline, or None off-CI."""
     if not BASELINE_DIR:
         return None
     path = os.path.join(BASELINE_DIR, f"BENCH_{name}.json")
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return float(json.load(handle)["fast_exec_per_sec"])
+            return float(json.load(handle)["jit_exec_per_sec"])
     except (OSError, KeyError, ValueError):
         return None
 

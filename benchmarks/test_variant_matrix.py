@@ -4,9 +4,9 @@ Not a paper figure: the paper evaluates conditional-branch (Spectre-PHT)
 misprediction only.  This benchmark measures the cost of the speculation
 models that extend the reproduction past the paper — fuzzing throughput
 and detected-site counts per variant, on both emulator engines, over the
-planted gadget-sample targets.  Dynamic model sites force the fast engine
-onto its generic fallback thunks, so this is also the regression gauge
-for how much of the fast path a variant run retains.
+planted gadget-sample targets.  Dynamic model sites end the jit engine's
+compiled blocks and run on the legacy handlers, so this is also the
+regression gauge for how much of the compiled path a variant run retains.
 
 Emits ``BENCH_variant_matrix.json`` via the ``bench_record`` fixture.
 """
@@ -23,7 +23,7 @@ from repro.targets import get_target
 from repro.targets.injection import compile_vanilla
 
 VARIANTS = ("pht", "btb", "rsb", "stl")
-ENGINES = ("fast", "legacy")
+ENGINES = ("jit", "legacy")
 ITERATIONS = 40 * SCALE
 
 
@@ -54,11 +54,11 @@ def test_variant_matrix(bench_record):
             metrics[f"{variant}_{engine}_exec_per_sec"] = round(
                 result.executions / elapsed, 1) if elapsed else 0.0
             metrics[f"{variant}_{engine}_cycles"] = result.total_cycles
-        fast, legacy = engine_results["fast"], engine_results["legacy"]
+        jit, legacy = engine_results["jit"], engine_results["legacy"]
         # Engine invariance holds for every variant (differential property).
-        assert fast.reports.to_dicts() == legacy.reports.to_dicts()
-        assert fast.total_cycles == legacy.total_cycles
-        sites = fast.reports.count_by_variant().get(variant, 0)
+        assert jit.reports.to_dicts() == legacy.reports.to_dicts()
+        assert jit.total_cycles == legacy.total_cycles
+        sites = jit.reports.count_by_variant().get(variant, 0)
         per_variant_sites[variant] = sites
         metrics[f"{variant}_unique_sites"] = sites
 

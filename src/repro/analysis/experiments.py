@@ -61,7 +61,7 @@ def run_figure7(
     programs: Sequence[str] = ("jsmn", "libyaml", "libhtp", "brotli", "openssl"),
     input_size: int = 200,
     tools: Sequence[str] = ("spectaint", "specfuzz", "teapot"),
-    engine: str = "fast",
+    engine: str = "jit",
 ) -> List[RuntimeRow]:
     """Figure 7: normalized run time of each tool on each program.
 
@@ -196,7 +196,7 @@ def run_table3(
     fuzz_iterations: int = 40,
     seed: int = 1234,
     workers: int = 1,
-    engine: str = "fast",
+    engine: str = "jit",
 ) -> List[InjectionRow]:
     """Table 3: detection of artificially injected gadgets.
 
@@ -279,7 +279,7 @@ def run_table4(
     fuzz_iterations: int = 40,
     seed: int = 99,
     workers: int = 1,
-    engine: str = "fast",
+    engine: str = "jit",
 ) -> List[VanillaRow]:
     """Table 4: gadgets found in the unmodified binaries.
 
@@ -359,7 +359,7 @@ def run_hardening_matrix(
     tool: str = "teapot",
     iterations: int = 400,
     seed: int = 1234,
-    engine: str = "fast",
+    engine: str = "jit",
     perf_input_size: int = 200,
 ) -> List[HardeningRow]:
     """Harden every target with every strategy and verify by re-fuzzing.
@@ -410,7 +410,7 @@ def run_matrix(
     workers: int = 1,
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
-    engine: str = "fast",
+    engine: str = "jit",
 ) -> CampaignSummary:
     """Run a whole-suite campaign matrix and return its summary.
 

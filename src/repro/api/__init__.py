@@ -9,7 +9,7 @@ Three layers, one import::
   terminal :meth:`~repro.api.pipeline.Pipeline.report` call returns a
   versioned, JSON-round-trippable :class:`~repro.api.result.RunResult`::
 
-      run = api.pipeline(target="jsmn").engine("fast") \\
+      run = api.pipeline(target="jsmn").engine("jit") \\
                .fuzz(400).harden("mask").refuzz().report()
 
 * **Plugin registries** — targets, emulator engines, hardening

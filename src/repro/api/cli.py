@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="detector tool (default: teapot)")
     fuzz.add_argument("--variant", default="vanilla",
                       help="binary variant (default: vanilla)")
-    fuzz.add_argument("--engine", default="fast",
+    fuzz.add_argument("--engine", default="jit",
                       help=f"emulator engine ({', '.join(api.engine_names())})")
     fuzz.add_argument("--variants", default="pht",
                       help="comma-separated speculation variants to simulate "
@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "methodology)")
     bench.add_argument("--target", required=True)
     bench.add_argument("--variant", default="vanilla")
-    bench.add_argument("--engine", default="fast")
+    bench.add_argument("--engine", default="jit")
     bench.add_argument("--input-size", type=int, default=200)
     bench.add_argument("--tools", default=",".join(api.BENCH_TOOLS),
                        help="comma-separated tools to measure "

@@ -8,7 +8,7 @@ step and returns the builder, and :meth:`Pipeline.report` (or
     import repro.api as api
 
     run = (api.pipeline(target="jsmn")
-           .engine("fast")
+           .engine("jit")
            .fuzz(iterations=400)
            .harden("mask")
            .refuzz()
@@ -91,7 +91,7 @@ def pipeline(
     target: Optional[str] = None,
     variant: str = "vanilla",
     tool: str = "teapot",
-    engine: str = "fast",
+    engine: str = "jit",
     seed: int = 1234,
     workers: int = 1,
     max_input_size: int = 1024,
@@ -125,7 +125,7 @@ class Pipeline:
         target: Optional[str] = None,
         variant: str = "vanilla",
         tool: str = "teapot",
-        engine: str = "fast",
+        engine: str = "jit",
         seed: int = 1234,
         workers: int = 1,
         max_input_size: int = 1024,
@@ -135,7 +135,7 @@ class Pipeline:
         self._target: Optional[str] = None
         self._variant = "vanilla"
         self._tool = "teapot"
-        self._engine = "fast"
+        self._engine = "jit"
         self._seed = seed
         self._workers = max(1, workers)
         self._max_input_size = max_input_size

@@ -40,12 +40,12 @@ from repro.isa.instructions import (
 )
 from repro.isa.operands import Imm
 from repro.loader.binary_format import TelfBinary
+from repro.plugins import resolve_engine
 from repro.rewriting.passes import PassManager, RewritePass
 from repro.rewriting.reassemble import reassemble
 from repro.runtime.costs import CostModel, DEFAULT_COSTS
 from repro.runtime.emulator import ExecutionResult
 from repro.runtime.externals import ExternalRegistry
-from repro.runtime.fastpath import resolve_engine
 from repro.runtime.speculation import (
     DisabledNestingPolicy,
     SpecFuzzNestingPolicy,
@@ -66,8 +66,8 @@ class SpecFuzzConfig:
     coverage: bool = True
     allowlist_frame_accesses: bool = True
     max_steps: int = 5_000_000
-    #: emulator engine ("fast" or "legacy"); results are engine-invariant.
-    engine: str = "fast"
+    #: emulator engine ("jit" or "legacy"); results are engine-invariant.
+    engine: str = "jit"
     #: speculation variants to simulate.  The real SpecFuzz is PHT-only;
     #: the model subsystem extends the baseline past the original tool.
     variants: Tuple[str, ...] = ("pht",)

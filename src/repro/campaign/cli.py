@@ -26,8 +26,7 @@ from typing import List, Optional, Sequence
 
 from repro.campaign.scheduler import run_campaign
 from repro.campaign.spec import TOOLS, VARIANTS, CampaignSpec
-from repro.plugins import scheduler_names
-from repro.runtime.fastpath import engine_names
+from repro.plugins import engine_names, scheduler_names
 from repro.targets import injectable_targets, runnable_targets
 
 
@@ -83,8 +82,8 @@ def build_parser(prog: str = "repro-campaign") -> argparse.ArgumentParser:
     parser.add_argument("--max-input-size", type=int, default=1024,
                         help="mutation size cap in bytes (default: 1024)")
     parser.add_argument("--engine", choices=tuple(engine_names()),
-                        default="fast",
-                        help="emulator engine (default: fast); every engine "
+                        default="jit",
+                        help="emulator engine (default: jit); every engine "
                              "produces identical results — jit is the "
                              "block-compiled throughput tier, legacy keeps "
                              "the reference implementation selectable")

@@ -45,6 +45,14 @@ def split_evenly(total: int, parts: int) -> List[int]:
     return [base + (1 if index < remainder else 0) for index in range(parts)]
 
 
+def _stored_engine(record: Dict[str, object]) -> str:
+    """The engine a stored spec names.  Records written while the retired
+    ``fast`` engine existed load on ``jit``: the engine never changes
+    results and is outside every fingerprint."""
+    engine = str(record.get("engine", "jit"))
+    return "jit" if engine == "fast" else engine
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One unit of work: fuzz one shard of one (target, tool, variant)."""
@@ -58,10 +66,10 @@ class JobSpec:
     iterations: int = 0
     seed: int = 0
     max_input_size: int = 1024
-    #: emulator engine ("fast"/"jit"/"legacy"); execution detail, never
+    #: emulator engine ("jit"/"legacy"); execution detail, never
     #: affects results (the engines are differentially tested to be
     #: identical).
-    engine: str = "fast"
+    engine: str = "jit"
     #: speculation variant this job simulates ("pht", "btb", "rsb", "stl").
     #: The third matrix axis: each variant of a group gets its own jobs.
     spec_variant: str = "pht"
@@ -139,7 +147,7 @@ class JobSpec:
             iterations=int(record.get("iterations", 0)),
             seed=int(record.get("seed", 0)),
             max_input_size=int(record.get("max_input_size", 1024)),
-            engine=str(record.get("engine", "fast")),
+            engine=_stored_engine(record),
             spec_variant=str(record.get("spec_variant", "pht")),
             timeout_s=float(record.get("timeout_s", 0.0)),
             max_attempts=int(record.get("max_attempts", 1)),
@@ -176,12 +184,12 @@ class CampaignSpec:
     #: False so every requested program gets a row (injection into a
     #: target with no attack points is a no-op build, as in the paper).
     skip_uninjectable: bool = True
-    #: Emulator engine every job runs on ("fast"/"jit"/"legacy").  Like
+    #: Emulator engine every job runs on ("jit"/"legacy").  Like
     #: ``workers`` this is pure execution mechanics: the engines are
     #: differentially tested to produce identical results, so it is
     #: excluded from the checkpoint fingerprint and a campaign may be
     #: resumed on a different engine.
-    engine: str = "fast"
+    engine: str = "jit"
     #: Speculation variants: the third matrix axis (alongside target and
     #: tool) — every group fans into one job set per variant.  Excluded
     #: from the checkpoint fingerprint like ``engine``, so a checkpointed
@@ -216,7 +224,7 @@ class CampaignSpec:
             if variant not in VARIANTS:
                 raise ValueError(
                     f"unknown variant {variant!r}; expected one of {VARIANTS}")
-        from repro.runtime.fastpath import engine_names
+        from repro.plugins import engine_names
 
         if self.engine not in engine_names():
             raise ValueError(
@@ -356,7 +364,7 @@ class CampaignSpec:
             workers=int(record.get("workers", 1)),
             derive_seeds=bool(record.get("derive_seeds", True)),
             skip_uninjectable=bool(record.get("skip_uninjectable", True)),
-            engine=str(record.get("engine", "fast")),
+            engine=_stored_engine(record),
             spec_variants=tuple(record.get("spec_variants", ("pht",))),
             job_timeout_s=float(record.get("job_timeout_s", 0.0)),
             job_max_attempts=int(record.get("job_max_attempts", 1)),
@@ -367,7 +375,7 @@ class CampaignSpec:
         """Hash of every result-affecting field (checkpoint compatibility).
 
         ``workers`` and ``engine`` are deliberately excluded: resuming a
-        4-worker campaign with 1 worker, or a fast-engine campaign on the
+        4-worker campaign with 1 worker, or a jit-engine campaign on the
         legacy engine (or vice versa), is valid and yields identical
         results.  ``spec_variants`` is excluded too — not because it is
         result-neutral (it is not) but so a checkpointed campaign can be

@@ -77,7 +77,7 @@ def compiled_binary(target_name: str, variant: str) -> TelfBinary:
     return _BINARY_CACHE[key]
 
 
-def _tool_config(tool: str, variant: str, engine: str = "fast",
+def _tool_config(tool: str, variant: str, engine: str = "jit",
                  spec_variant: str = "pht"):
     """The detector configuration for one (tool, variant) combination.
 
@@ -130,7 +130,7 @@ def instrumented_binary(target_name: str, tool: str, variant: str) -> TelfBinary
 
 
 def build_runtime(target_name: str, tool: str, variant: str,
-                  engine: str = "fast", spec_variant: str = "pht"):
+                  engine: str = "jit", spec_variant: str = "pht"):
     """A fresh runtime (coverage maps and all) for one job."""
     config = _tool_config(tool, variant, engine, spec_variant)
     binary = instrumented_binary(target_name, tool, variant)

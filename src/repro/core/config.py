@@ -44,13 +44,12 @@ class TeapotConfig:
     allowlist_frame_accesses: bool = True
     #: maximum emulator steps per execution (hang protection for fuzzing).
     max_steps: int = 5_000_000
-    #: emulator engine: ``"fast"`` (decoded-trace dispatch + copy-on-write
-    #: rollback journaling), ``"jit"`` (block-compiled generated code over
-    #: the fast engine, persistent compiled-block cache) or ``"legacy"``
-    #: (generic dispatch + full-state checkpoints).  All produce
-    #: bit-identical results — see ``docs/emulator.md`` and the
-    #: differential test harness.
-    engine: str = "fast"
+    #: emulator engine: ``"jit"`` (block-compiled generated code,
+    #: copy-on-write rollback journaling, persistent compiled-block cache)
+    #: or ``"legacy"`` (generic dispatch + full-state checkpoints, the
+    #: reference).  Both produce bit-identical results — see
+    #: ``docs/emulator.md`` and the differential test harness.
+    engine: str = "jit"
     #: speculation variants to simulate ("pht", "btb", "rsb", "stl", or any
     #: ``@register_model`` plugin).  The default matches the paper:
     #: conditional-branch misprediction only.  See ``docs/variants.md``.

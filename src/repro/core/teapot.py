@@ -26,12 +26,12 @@ from repro.coverage.sancov import CoverageRuntime
 from repro.disasm.disassembler import disassemble
 from repro.disasm.ir import Module
 from repro.loader.binary_format import TelfBinary
+from repro.plugins import resolve_engine
 from repro.rewriting.passes import PassManager
 from repro.rewriting.reassemble import reassemble
 from repro.runtime.costs import CostModel, DEFAULT_COSTS
 from repro.runtime.emulator import ExecutionResult
 from repro.runtime.externals import ExternalRegistry
-from repro.runtime.fastpath import resolve_engine
 from repro.runtime.speculation import (
     DisabledNestingPolicy,
     TeapotNestingPolicy,

@@ -178,7 +178,7 @@ class Fuzzer:
     ) -> None:
         if engine is not None:
             # Rebuild the target's runtime on the requested emulator engine
-            # ("fast"/"jit"/"legacy"); results are engine-invariant, only
+            # ("jit"/"legacy"); results are engine-invariant, only
             # the executions/second change.
             target = target.with_engine(engine)
         if variants is not None:

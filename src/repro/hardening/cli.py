@@ -23,8 +23,8 @@ from typing import List, Optional, Sequence
 
 from repro.campaign.spec import TOOLS, VARIANTS
 from repro.hardening.passes import STRATEGIES, strategy_names
-from repro.runtime.fastpath import engine_names
 from repro.hardening.pipeline import detect_reports, run_hardening
+from repro.plugins import engine_names
 from repro.sanitizers.reports import GadgetReport
 from repro.targets import runnable_targets
 
@@ -70,8 +70,8 @@ def build_parser(prog: str = "repro-harden") -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=1234,
                         help="campaign seed (default: 1234)")
     parser.add_argument("--engine", choices=tuple(engine_names()),
-                        default="fast",
-                        help="emulator engine (default: fast)")
+                        default="jit",
+                        help="emulator engine (default: jit)")
     parser.add_argument("--variants", default="pht", dest="spec_variants",
                         help="comma-separated speculation variants both "
                              "campaigns simulate (pht, btb, rsb, stl; "

@@ -45,15 +45,15 @@ from repro.hardening.sites import (
     translate_site,
 )
 from repro.loader.binary_format import TelfBinary
+from repro.plugins import resolve_engine
 from repro.rewriting.passes import PassManager
 from repro.rewriting.reassemble import reassemble
-from repro.runtime.fastpath import resolve_engine
 from repro.sanitizers.reports import GadgetReport
 from repro.targets import get_target
 
 
 def measure_cycles(binary: TelfBinary, input_data: bytes,
-                   engine: str = "fast") -> int:
+                   engine: str = "jit") -> int:
     """Cycle count of one native (uninstrumented) execution."""
     emulator_cls, _ = resolve_engine(engine)
     result = emulator_cls(binary).run(input_data)
@@ -363,7 +363,7 @@ def detect_reports(
     iterations: int = 400,
     rounds: int = 1,
     seed: int = 1234,
-    engine: str = "fast",
+    engine: str = "jit",
     spec_variants=("pht",),
 ) -> List[GadgetReport]:
     """Run the detection campaign alone and return its unique reports.
@@ -385,7 +385,7 @@ def run_hardening(
     iterations: int = 400,
     rounds: int = 1,
     seed: int = 1234,
-    engine: str = "fast",
+    engine: str = "jit",
     perf_input_size: int = 200,
     reports: Optional[Iterable[GadgetReport]] = None,
     progress=None,

@@ -10,11 +10,11 @@ two contracts the facade's error messages rely on:
   message lists every valid option.
 
 The concrete registries live here too, but the *registrations* happen in
-the subsystems that own the plugins (``repro.runtime.fastpath`` registers
-the engines, ``repro.hardening.passes`` the mitigation strategies,
-``repro.campaign.scheduler`` the schedulers, and each module under
-``repro.targets`` its workload).  Third-party code extends the system with
-the decorators re-exported by :mod:`repro.api`::
+the subsystems that own the plugins (``repro.runtime.emulator`` and
+``repro.runtime.jit`` register the engines, ``repro.hardening.passes``
+the mitigation strategies, ``repro.campaign.scheduler`` the schedulers,
+and each module under ``repro.targets`` its workload).  Third-party code
+extends the system with the decorators re-exported by :mod:`repro.api`::
 
     from repro.api import TargetProgram, register_target
 
@@ -104,7 +104,7 @@ class PluginRegistry:
     def add(self, name: str, replace: bool = False) -> Callable:
         """Decorator form of :meth:`register`::
 
-            @REGISTRY.add("fast")
+            @REGISTRY.add("jit")
             def resolver(): ...
         """
         def decorator(plugin):
@@ -130,7 +130,8 @@ class PluginRegistry:
 
 #: Emulator engines: name -> zero-arg resolver returning
 #: ``(emulator class, speculation-controller class)``.  Populated by
-#: :mod:`repro.runtime.fastpath`.
+#: :mod:`repro.runtime.emulator` (``legacy``) and :mod:`repro.runtime.jit`
+#: (``jit``).
 ENGINE_REGISTRY = PluginRegistry("emulator engine")
 
 #: Hardening strategies: name -> factory ``(sites) -> RewritePass``.
@@ -201,9 +202,9 @@ def register_engine(name: str, resolver: Optional[Callable] = None,
     ``(emulator class, speculation-controller class)`` pair; resolution is
     deferred so engine modules can avoid import cycles::
 
-        @register_engine("fast")
-        def _fast():
-            return FastEmulator, JournalingSpeculationController
+        @register_engine("traced")
+        def _traced():
+            return TracedEmulator, JournalingSpeculationController
     """
     def decorator(fn):
         return ENGINE_REGISTRY.register(name, fn, replace=replace)
@@ -268,10 +269,27 @@ def register_model(name: str, factory: Optional[Callable] = None,
 
 
 def engine_names() -> List[str]:
-    """Registered emulator-engine names (import the runtime to populate)."""
-    import repro.runtime.fastpath  # noqa: F401  (registers built-ins)
+    """Every name accepted by :func:`resolve_engine` and the ``engine=``
+    knobs (importing the jit engine registers both built-ins)."""
+    import repro.runtime.jit  # noqa: F401  (registers built-ins)
 
     return ENGINE_REGISTRY.names()
+
+
+def resolve_engine(name: str):
+    """Map an engine name to its ``(emulator class, controller class)`` pair.
+
+    ``"jit"`` pairs the block-compiled
+    :class:`~repro.runtime.jit.JitEmulator` with the copy-on-write
+    :class:`~repro.runtime.speculation.JournalingSpeculationController`;
+    ``"legacy"`` pairs the reference
+    :class:`~repro.runtime.emulator.Emulator` with the snapshot
+    :class:`~repro.runtime.speculation.SpeculationController`.  Further
+    engines come from ``@register_engine``.
+    """
+    import repro.runtime.jit  # noqa: F401  (registers built-ins)
+
+    return ENGINE_REGISTRY.get(name)()
 
 
 def strategy_names() -> List[str]:

@@ -31,6 +31,7 @@ from repro.isa.instructions import Instruction, Opcode
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import ARG_REGISTERS, RETURN_REGISTER, Register
 from repro.loader.binary_format import SymbolKind, TelfBinary
+from repro.plugins import register_engine
 from repro.runtime.costs import CostModel, DEFAULT_COSTS
 from repro.runtime.errors import (
     ArithmeticFault,
@@ -80,7 +81,7 @@ class ExecutionResult:
 class Emulator:
     """Executes a TELF binary over fuzz inputs."""
 
-    #: engine name reported to telemetry; the fast engine overrides it.
+    #: engine name reported to telemetry; the jit engine overrides it.
     engine_name = "legacy"
 
     def __init__(
@@ -190,9 +191,9 @@ class Emulator:
 
         Only installed when *dynamic* speculation models (BTB/RSB/STL, i.e.
         anything beyond the checkpoint-driven PHT default) are active, so
-        the classic configuration pays nothing.  The fast engine builds
-        fallback thunks for exactly these opcodes, which funnels both
-        engines through the handlers below — one implementation, zero
+        the classic configuration pays nothing.  The jit engine ends its
+        compiled blocks at exactly these opcodes and steps them through
+        these handlers, so both engines share one implementation, zero
         drift.
         """
         dyn = self._dynamic_models
@@ -1111,3 +1112,9 @@ _PSEUDO_SET = frozenset(
         Opcode.TAINT_SOURCE,
     }
 )
+
+
+@register_engine("legacy")
+def _legacy_engine_plugin():
+    """The generic reference interpreter with full-snapshot checkpoints."""
+    return Emulator, SpeculationController

@@ -1,39 +1,40 @@
 """The jit emulator engine: block-compiled execution over generated source.
 
-:class:`JitEmulator` is the third engine tier.  Where the fast engine
-(:mod:`repro.runtime.fastpath`) dispatches one pre-decoded *thunk* per
-instruction, the jit engine compiles each basic block (and straight-line
-superblock) of the decoded program into a **single generated Python
-function**: operand decoding, effective-address arithmetic, cycle costs,
-DIFT tag propagation and journal undo-logging are emitted as source text
-with every constant folded to a literal, then ``compile()``d and
-``exec``d once per binary.  Executing a block is one dict lookup and one
-call for *n* instructions instead of *n* of each.
+:class:`JitEmulator` is the optimized engine; the legacy
+:class:`~repro.runtime.emulator.Emulator` is its oracle.  The jit engine
+compiles each basic block (and straight-line superblock) of the decoded
+program into a **single generated Python function**: operand decoding,
+effective-address arithmetic, cycle costs, DIFT tag propagation and
+journal undo-logging are emitted as source text with every constant
+folded to a literal, then ``compile()``d and ``exec``d once per binary.
+Executing a block is one dict lookup and one call for *n* instructions
+instead of *n* of each.
 
-Bit-identity with the fast and legacy engines (enforced by
+Bit-identity with the legacy engine (enforced by
 ``tests/runtime/differential.py``) is preserved by construction:
 
-* **Same bodies.**  Each inline emitter is a textual transcription of
-  the corresponding fast-engine thunk — same statements, same order,
-  same journal entries, same DIFT helper calls.
-* **Fallback at the same sites.**  Any instruction the fast engine
-  would not specialize (indirect control flow, ``ecall``, div/mod,
-  taint sources, speculation-model source sites, unresolvable
-  operands) ends its block and tail-calls the existing thunk for that
-  address, so intricate semantics keep exactly one implementation.
-  Direct calls and returns *are* inlined (as block terminators) unless
-  a speculation model claims them as source sites.
+* **Legacy semantics at the edges.**  Every step the jit does not run in
+  a compiled block goes through the per-instruction table ``_trace``,
+  whose entries wrap the legacy handler for that address with the
+  legacy main loop's per-step preamble (cycle cost, instruction counts,
+  DIFT propagation).  Instructions the emitters do not cover (indirect
+  control flow, ``ecall`` to unresolved imports, div/mod, taint sources,
+  speculation-model source sites, unresolvable operands) are *enders*:
+  they end their block, which tail-calls the table entry, so intricate
+  semantics keep exactly one implementation.  Direct calls and returns
+  *are* inlined (as block terminators) unless a speculation model
+  claims them as source sites.
 * **Batched-but-exact accounting.**  Step/cycle/arch counters and the
   controller's in-simulation instruction count are accumulated per
   block segment and flushed before every block exit and before any
   instruction that *reads* them (checkpoint entries, rollback budget
-  checks, the fuel check at thunk tails).  Instructions that can merely
+  checks, the fuel check at ender tails).  Instructions that can merely
   *fault* (loads, stores, push/pop) or call out (policy/coverage
   hooks) do not flush; instead each such site stores a fault-table
   index, and a per-block ``except BaseException`` handler flushes the
   exact pending prefix (a precomputed ``(steps, cycles, arch)`` tuple)
   before re-raising — so at every observable point (faults, rollbacks,
-  checkpoint entries, run end) the counters equal the fast engine's.
+  checkpoint entries, run end) the counters equal the legacy engine's.
 * **Simulation-specialized variants.**  Every block is compiled twice:
   a *no-sim* variant (dispatched while no checkpoint is live) with all
   journal undo-logging, speculation bookkeeping and policy hooks
@@ -45,9 +46,15 @@ Bit-identity with the fast and legacy engines (enforced by
   two states (checkpoint entry, rollback) exits the block, so the
   folded truth value can never go stale mid-block.
 * **Fuel gate.**  A block of ``n`` steps only runs when ``steps + n <=
-  max_steps``; otherwise the loop falls back to per-thunk stepping, so
-  fuel expiry lands on exactly the same instruction as the other
-  engines.
+  max_steps``; otherwise the loop single-steps through ``_trace``, so
+  fuel expiry lands on exactly the same instruction as the legacy
+  engine.
+
+Legacy steps cost several times a compiled instruction, so block
+discovery keeps the dispatch loop on compiled code: a superblock capped
+at ``_MAX_BLOCK`` instructions is cut back to its last interior leader,
+and under dynamic speculation models the Shadow-Copy alias of every
+leader is a leader too (BTB/RSB wrong paths land there).
 
 The compiled module is persistently cached across processes by
 :mod:`repro.runtime.jitcache`, keyed by (binary hash, repro version,
@@ -59,39 +66,48 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro._version import __version__
 from repro.isa.instructions import ConditionCode, Instruction, Opcode
 from repro.isa.operands import Imm, Mem, Reg
 from repro.loader.serialize import dumps_binary
 from repro.plugins import register_engine
-from repro.runtime.emulator import EXIT_SENTINEL, ExecutionResult, _PSEUDO_SET
+from repro.runtime.emulator import (
+    EXIT_SENTINEL,
+    Emulator,
+    ExecutionResult,
+    _PSEUDO_SET,
+)
 from repro.runtime.errors import (
     ArithmeticFault,
     MemoryFault,
     ProgramCrash,
     ProgramExit,
 )
-from repro.runtime.fastpath import (
-    _ALU_INLINE,
-    _FREE_PSEUDOS,
-    _FROM_BYTES,
-    _imm_target,
-    _read_tag_range,
-    _write_tag_range,
-    FastEmulator,
-    RET_IDX,
-    SIGN_BIT,
-    SP_IDX,
-    TWO64,
-)
 from repro.runtime.jitcache import shared_cache
 from repro.runtime.machine import MASK64, to_signed, to_unsigned
 from repro.sanitizers.dift import ALL_TAGS
 
+SIGN_BIT = 1 << 63
+TWO64 = 1 << 64
+
+SP_IDX = 14
+RET_IDX = 0
+
+#: two-operand ALU ops with an inline emitter (div/mod are enders).
+_ALU_INLINE = frozenset({
+    Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.AND, Opcode.OR, Opcode.XOR,
+    Opcode.SHL, Opcode.SHR, Opcode.SAR,
+})
+
+#: pseudo-ops that cost cycles and do nothing else.
+_FREE_PSEUDOS = frozenset({
+    Opcode.NOP, Opcode.MEMLOG, Opcode.DIFT_PROP, Opcode.DIFT_BATCH,
+    Opcode.MARKER_NOP, Opcode.GUARD_CHECK,
+})
+
 #: bump to invalidate every cached module when the emitted code changes.
-_CODEGEN_VERSION = 8
+_CODEGEN_VERSION = 9
 
 #: Width-specific page accessors: ``struct`` unpack/pack beats an
 #: ``int.from_bytes`` over a fresh slice (and a ``to_bytes`` slice
@@ -118,7 +134,7 @@ _FLAG_TRANSPARENT_OPS = frozenset({
 })
 
 #: condition-code expressions over the hoisted ``f`` (flags) local;
-#: mirrors ``fastpath._CC_FUNCS`` / ``Flags.evaluate``.
+#: mirrors ``Flags.evaluate``.
 _CC_EXPR = {
     ConditionCode.EQ: "f.zero",
     ConditionCode.NE: "not f.zero",
@@ -137,8 +153,62 @@ _BRANCH_OPS = (Opcode.JMP, Opcode.JCC, Opcode.CALL, Opcode.TRAMP_JCC,
                Opcode.CHECKPOINT, Opcode.SPEC_REDIRECT)
 
 
+def _imm_target(instr: Instruction) -> Optional[int]:
+    """Pre-resolved branch target of a direct branch, if any."""
+    if instr.operands and isinstance(instr.operands[0], Imm):
+        return to_unsigned(instr.operands[0].value)
+    return None
+
+
+def _read_tag_range(m, addr: int, size: int, flip: int) -> int:
+    """Inline equivalent of ``BinaryDift.get_mem_tag``.
+
+    Fast path: when the shadow range lives in one page (no bit-45 crossing,
+    no page crossing), one dict lookup covers all bytes.
+    """
+    pages = m.memory._pages
+    sh = addr ^ flip
+    off = sh & 4095
+    if off + size <= 4096 and addr >= 0 and (addr >> 45) == ((addr + size - 1) >> 45):
+        page = pages.get(sh >> 12)
+        if page is None:
+            return 0
+        tag = 0
+        for byte in page[off:off + size]:
+            tag |= byte
+        return tag & ALL_TAGS
+    tag = 0
+    for i in range(size):
+        sh = (addr + i) ^ flip
+        page = pages.get(sh >> 12)
+        if page is not None:
+            tag |= page[sh & 4095]
+    return tag & ALL_TAGS
+
+
+def _write_tag_range(d, m, addr: int, size: int, tag: int, flip: int) -> None:
+    """Inline equivalent of ``BinaryDift.set_mem_tag`` (with taint logging)."""
+    pages = m.memory._pages
+    controller = d.controller
+    in_sim = controller is not None and controller.checkpoints
+    tag &= 0xFF
+    for off in range(size):
+        sh = (addr + off) ^ flip
+        page_id = sh >> 12
+        page_off = sh & 4095
+        page = pages.get(page_id)
+        if page is None:
+            page = bytearray(4096)
+            pages[page_id] = page
+        if in_sim:
+            old = page[page_off]
+            if old != tag:
+                controller.log_taint_write(sh, old)
+        page[page_off] = tag
+
+
 def _ea_expr(mem: Mem) -> Optional[str]:
-    """Source text of the effective address (mirrors ``fastpath._ea_fn``)."""
+    """Source text of the effective address."""
     disp = mem.disp
     if not isinstance(disp, int):
         return None
@@ -157,7 +227,7 @@ def _ea_expr(mem: Mem) -> Optional[str]:
 
 
 def _val_expr(operand) -> Optional[str]:
-    """Source text reading a Reg/Imm operand (mirrors ``_val_fn``)."""
+    """Source text reading a Reg/Imm operand."""
     if isinstance(operand, Reg):
         return f"regs[{int(operand.reg)}]"
     if isinstance(operand, Imm):
@@ -246,7 +316,7 @@ class _BlockWriter:
 
         Required before anything that *reads* the counters: checkpoint
         entry and rollback (they read the controller's in-simulation
-        count), the fuel check at thunk tails, and every block exit
+        count), the fuel check at ender tails, and every block exit
         (the dispatch loop reads the step cell).  Batching is safe in
         between: nothing in a straight-line segment reads them, and
         simulation state cannot change without exiting the block.
@@ -262,7 +332,7 @@ class _BlockWriter:
 
         The arm returns immediately, so pending state is *not* cleared:
         the fall-through path keeps accumulating as if the arm did not
-        exist (that is exactly the fast engine's per-instruction sum).
+        exist (that is exactly the legacy engine's per-instruction sum).
         """
         self.lines.extend(self._flush_lines(pad))
 
@@ -347,6 +417,9 @@ class _BlockCompiler:
         self.sim = False
         #: addresses whose flag writes are dead (set per `_compile_block`).
         self._dead_flags: Set[int] = set()
+        #: block leaders and ender addresses (set by `leaders`).
+        self._leaders: Set[int] = set()
+        self.enders: Set[int] = set()
 
     # -- classification ------------------------------------------------------
     def _kind(self, instr: Instruction) -> str:
@@ -355,10 +428,9 @@ class _BlockCompiler:
         ``cexit`` instructions *conditionally* leave the block (taken
         branches, checkpoint entries, triggered rollbacks) and otherwise
         fall through, so superblocks extend across them; ``term`` always
-        exits in-block; ``ender`` tail-calls the existing fast-engine
-        thunk.  Mirrors ``FastEmulator._make_thunk``: every shape the
-        fast engine sends to a fallback or intricate thunk ends the
-        block so its semantics stay in exactly one implementation.
+        exits in-block; ``ender`` tail-calls the legacy-handler step in
+        ``_trace``, so every shape without an inline emitter keeps its
+        semantics in exactly one implementation.
 
         Classification is variant-aware (``self.sim``): a redirect or
         forced restore always fires inside simulation (``term``) and
@@ -469,11 +541,16 @@ class _BlockCompiler:
         Function entries, immediate branch/checkpoint targets, the
         fall-through successor of every ender and every direct call
         (return sites — ``ret`` returns there dynamically) and
-        checkpoint resume points (rollback lands there).  Control transfers into the *middle* of a block
-        (dynamic-model resumes, stale targets) are always safe: the main
-        loop simply single-steps thunks until the next leader.
+        checkpoint resume points (rollback lands there).  Under dynamic
+        speculation models the Shadow-Copy alias of every leader is a
+        leader too: BTB/RSB wrong paths resume at aliases of branch
+        targets and return sites.  Control transfers into the *middle*
+        of a block (stale targets) are still safe: the main loop
+        single-steps legacy handlers until the next leader.  Also
+        records the ender addresses in ``self.enders``.
         """
         leaders: Set[int] = set()
+        self.enders = set()
         for sym in self.em.binary.function_symbols():
             leaders.add(sym.address)
         for addr, instr in self.instructions.items():
@@ -481,11 +558,15 @@ class _BlockCompiler:
                 target = _imm_target(instr)
                 if target is not None:
                     leaders.add(target)
-            if (self._kind(instr) == "ender"
-                    or instr.opcode in (Opcode.CHECKPOINT, Opcode.CALL)):
+            ender = self._kind(instr) == "ender"
+            if ender:
+                self.enders.add(addr)
+            if ender or instr.opcode in (Opcode.CHECKPOINT, Opcode.CALL):
                 nxt = self.next_address.get(addr)
                 if nxt is not None:
                     leaders.add(nxt)
+        if self.em._dynamic_models:
+            leaders |= {self.em._spec_alias(addr) for addr in leaders}
         return leaders
 
     # -- module generation ---------------------------------------------------
@@ -495,7 +576,9 @@ class _BlockCompiler:
             " -- do not edit",
         ]
         modes = (False, True) if self.have_controller else (False,)
-        for leader in sorted(self.leaders()):
+        self._leaders = self.leaders()
+        chunks.append(f"ENDERS = {tuple(sorted(self.enders))!r}")
+        for leader in sorted(self._leaders):
             if leader not in self.instructions:
                 continue
             for sim in modes:
@@ -532,9 +615,19 @@ class _BlockCompiler:
             if kind == "term":
                 break
             if len(seq) >= _MAX_BLOCK:
-                tail = ("goto", self.next_address[addr])
+                # Cut back to the last interior leader, so the next
+                # dispatch lands on a compiled block, not a legacy step.
+                cut = next((i for i in range(len(seq) - 1, 0, -1)
+                            if seq[i][0] in self._leaders), None)
+                if cut is None:
+                    tail = ("goto", self.next_address[addr])
+                else:
+                    tail = ("goto", seq[cut][0])
+                    del seq[cut:]
                 break
             addr = self.next_address[addr]
+        if not seq:
+            return None  # a bare ender: the dispatch loop steps it
         self._dead_flags = self._dead_flag_addrs(seq)
         # Phase 2: emit.
         writer = _BlockWriter(sim)
@@ -549,8 +642,6 @@ class _BlockCompiler:
             span.append(addr)
         if tail is not None:
             self._emit_tail(writer, tail)
-        if writer.total_steps < 2:
-            return None  # a lone thunk dispatch is just as fast
         name = f"_b{'s' if sim else 'n'}_{leader:x}"
         return writer.render(name), writer.total_steps, span
 
@@ -636,7 +727,7 @@ class _BlockCompiler:
         variant also SPEC_REDIRECT (always fires inside simulation),
         fences and RESTORE_ALWAYS (always roll back inside simulation).
         Counters are flushed *before* the call/return stack access, the
-        order the fast thunks count in, so a stack fault observes exact
+        order the legacy engine counts in, so a stack fault observes exact
         totals.
         """
         opcode = instr.opcode
@@ -690,8 +781,8 @@ class _BlockCompiler:
                    instr: Instruction) -> None:
         """Direct call: push the return address, jump to the target.
 
-        Transcribes the fast engine's CALL thunk with the return
-        address folded to a bytes literal.  The return site is a block
+        Mirrors the legacy CALL handler with the return address folded
+        to a literal.  The return site is a block
         leader, so the matching ``ret`` lands back on compiled code.
         """
         nxt = self.next_address[addr]
@@ -724,7 +815,7 @@ class _BlockCompiler:
                   instr: Instruction) -> None:
         """Return: pop the target and jump to it dynamically.
 
-        Transcribes the fast engine's RET thunk.  The shadow-target
+        Mirrors the legacy RET handler.  The shadow-target
         check only fires inside simulation with shadows present (both
         folded: simulation via the variant, shadows via the cache
         digest), and the exit sentinel only needs special handling in
@@ -764,7 +855,7 @@ class _BlockCompiler:
         if kind == "goto":
             w.emit(f"return {addr}")
             return
-        # Thunk ender: one existing-thunk step with the loop's fuel check.
+        # Ender: one legacy-handler step with the loop's fuel check.
         w.param("STP", "STP")
         w.param("T", "TRACE")
         w.emit(f"if STP[0] >= {self.em.max_steps}:")
@@ -836,7 +927,7 @@ class _BlockCompiler:
 
         if opcode is Opcode.ECALL:
             # no-sim only (sim classifies ECALL as a rollback terminator);
-            # transcribes the fast thunk with the import name folded.
+            # mirrors the legacy handler with the import name folded.
             name = self.em.binary.import_name(ops[0].value)
             w.param("XR", "EXTERNALS")
             w.param("EM", "EM")
@@ -938,7 +1029,7 @@ class _BlockCompiler:
             w.emit("f.carry = False")
             w.emit("f.overflow = False")
 
-    # -- memory-operation emitters (each transcribes its fast thunk) ---------
+    # -- memory-operation emitters -------------------------------------------
     def _page_state(self, w: _BlockWriter, addr_var: str, limit: int) -> None:
         w.use("memory", "fullp", "pages")
         w.emit(f"off = {addr_var} & 4095")
@@ -952,7 +1043,7 @@ class _BlockCompiler:
 
     def _promotion_tail(self, w: _BlockWriter, di: int) -> None:
         # A pending promotion is only ever *applied* through
-        # ``dift.or_register_tag``; with DIFT off the fast engine's
+        # ``dift.or_register_tag``; with DIFT off the legacy engine's
         # per-load check-and-clear is architecturally invisible (the flag
         # is reset at every ``_setup_process``), so skip it entirely.
         if not self.dift_on:
@@ -1132,7 +1223,7 @@ class _BlockCompiler:
         w.use("regs")
         w.mark()
         if self.dift_on:
-            # NB: unmasked sp - 8, exactly like _dift_fn's PUSH thunk.
+            # NB: unmasked sp - 8, exactly like BinaryDift.propagate.
             w.emit(f"wa = regs[{SP_IDX}] - 8")
             if isinstance(src, Reg):
                 w.use("rt")
@@ -1264,23 +1355,107 @@ class _BlockCompiler:
         w.emit(f"regs[{di}] = r")
 
 
-class JitEmulator(FastEmulator):
-    """Block-compiled engine: generated source over the fast-engine trace."""
+def _require_journaling(controller) -> None:
+    """Reject snapshot controllers: the jit undo-logs speculative stores
+    through the machine journal only, so a snapshot controller would
+    silently leave speculative memory writes committed after rollback."""
+    if controller is not None and not getattr(
+        controller, "uses_machine_journal", False
+    ):
+        raise ValueError(
+            "JitEmulator requires a journaling speculation controller "
+            "(JournalingSpeculationController); use resolve_engine() to "
+            "get a matched pair, or the legacy Emulator for snapshot "
+            "controllers"
+        )
+
+
+class JitEmulator(Emulator):
+    """Block-compiled engine with legacy-handler steps at the edges."""
 
     engine_name = "jit"
 
     def __init__(self, *args, **kwargs) -> None:
+        #: per-execution accounting cells shared between the main loop,
+        #: the compiled blocks and the legacy-handler steps.
+        self._cycles_cell = [0]
+        self._arch_cell = [0]
+        self._steps_cell = [0]
         #: addr -> (block fn, fuel need), one map per simulation state.
         self._blocks_sim: Dict[int, Tuple] = {}
         self._blocks_nosim: Dict[int, Tuple] = {}
         #: addr -> covered instruction addresses (profiler attribution).
         self._block_spans_sim: Dict[int, Tuple[int, ...]] = {}
         self._block_spans_nosim: Dict[int, Tuple[int, ...]] = {}
+        #: ender addresses: instructions no block inlines (telemetry).
+        self._fallback_addresses: Tuple[int, ...] = ()
         self._jit_cache = None
         self._jit_cache_event = "none"
         self._jit_source: Optional[str] = None
         super().__init__(*args, **kwargs)
+        _require_journaling(self.controller)
+        self._trace = self._build_trace()
         self._compile_blocks()
+
+    def rebind_controller(self, controller) -> None:
+        """Swap controllers and regenerate everything bound to the old one.
+
+        The steps and blocks close over the controller at build time, so
+        unlike the legacy engine a plain attribute assignment is not
+        enough; the differential tests use this to re-run one emulator
+        under several nesting policies without paying binary decode
+        again.
+        """
+        _require_journaling(controller)
+        super().rebind_controller(controller)
+        self._trace = self._build_trace()
+        # Controller presence is part of the options digest; going
+        # through _compile_blocks re-keys the cache lookup (memo-hit
+        # when only the instance changed) and rebinds the namespace.
+        self._compile_blocks()
+
+    # -- per-instruction steps -----------------------------------------------
+    def _build_trace(self) -> Dict[int, Callable]:
+        """One legacy-handler step per instruction address (``_trace``)."""
+        return {addr: self._make_step(instr)
+                for addr, instr in self.instructions.items()}
+
+    def _make_step(self, instr: Instruction) -> Callable:
+        """The legacy main loop's per-step sequence for one instruction.
+
+        ``step(machine) -> new pc`` charges the cycle cost, counts the
+        instruction, propagates DIFT tags and runs the legacy handler;
+        the caller has already advanced the step counter.
+        """
+        em = self
+        controller = self.controller
+        cps = controller.checkpoints if controller is not None else None
+        cyc = self._cycles_cell
+        arc = self._arch_cell
+        cost = self.cost_model.instruction_cost(instr.opcode)
+        is_arch = instr.opcode not in _PSEUDO_SET
+        handler = self._dispatch[instr.opcode]
+
+        def step(m, em=em, controller=controller, cps=cps, cyc=cyc, arc=arc,
+                 cost=cost, is_arch=is_arch, handler=handler, instr=instr):
+            cyc[0] += cost
+            if is_arch:
+                arc[0] += 1
+                if cps:
+                    controller.count_instruction()
+                d = em.dift
+                if d is not None:
+                    try:
+                        d.propagate(instr, m)
+                    except MemoryFault:
+                        pass
+            em._extra_cycles = 0
+            new_pc = handler(instr)
+            extra = em._extra_cycles
+            if extra:
+                cyc[0] += extra
+            return new_pc
+        return step
 
     # -- compilation ---------------------------------------------------------
     def _options_digest(self) -> str:
@@ -1347,7 +1522,6 @@ class JitEmulator(FastEmulator):
             "INSTRS": self.instructions,
             "RTR": _read_tag_range,
             "WTR": _write_tag_range,
-            "FB": _FROM_BYTES,
             "U1": _UNPACKERS[1], "U2": _UNPACKERS[2],
             "U4": _UNPACKERS[4], "U8": _UNPACKERS[8],
             "P1": _PACKERS[1], "P2": _PACKERS[2],
@@ -1359,20 +1533,13 @@ class JitEmulator(FastEmulator):
             "NSPANS": {},
         }
         exec(self._block_code, namespace)
+        self._fallback_addresses = namespace["ENDERS"]
         self._blocks_sim = namespace["BLOCKS"]
         self._blocks_nosim = namespace["NBLOCKS"]
         self._block_spans_sim = namespace["SSPANS"]
         self._block_spans_nosim = namespace["NSPANS"]
         self._jit_inline_instructions = sum(
             len(span) for span in self._block_spans_nosim.values())
-
-    def rebind_controller(self, controller) -> None:
-        """Swap controllers and regenerate everything bound to the old one."""
-        super().rebind_controller(controller)
-        # Controller presence is part of the options digest; going
-        # through _compile_blocks re-keys the cache lookup (memo-hit
-        # when only the instance changed) and rebinds the namespace.
-        self._compile_blocks()
 
     # -- main loop -----------------------------------------------------------
     def _execute(self) -> ExecutionResult:

@@ -186,7 +186,7 @@ class Memory:
         #: list of (start, end) half-open mapped ranges, kept sorted
         self._regions: List[Tuple[int, int]] = []
         #: lazily filled cache ``page id -> fully mapped?``; accesses confined
-        #: to a fully mapped page skip the region walk (fast-engine hot path).
+        #: to a fully mapped page skip the region walk (jit-engine hot path).
         #: Invalidated wholesale whenever a region is mapped, because mapping
         #: can only turn pages *more* mapped.
         self._full_pages: Dict[int, bool] = {}
@@ -205,7 +205,7 @@ class Memory:
 
     def page_fully_mapped(self, page_id: int) -> bool:
         """Whether the whole page ``page_id`` lies in mapped guest memory
-        (cached; consulted by the fast engine's single-page access paths)."""
+        (cached; consulted by the jit engine's single-page access paths)."""
         state = self.is_mapped(page_id << 12, PAGE_SIZE)
         self._full_pages[page_id] = state
         return state
@@ -218,7 +218,7 @@ class Memory:
         """Whether the whole range ``[addr, addr+size)`` is mapped."""
         if (addr + size - 1) >> 12 == addr >> 12 and self._full_pages.get(addr >> 12):
             # Single-page access to a page known fully mapped: skip the
-            # region walk.  (Cache misses fall through; only the fast
+            # region walk.  (Cache misses fall through; only the jit
             # engine's access paths populate the cache.)
             return True
         remaining_start = addr

@@ -308,6 +308,12 @@ class JobQueue:
                 return None
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 json.dump(lease_record, handle, sort_keys=True)
+            if os.path.exists(self._done_path(fingerprint)):
+                # A peer completed the job (and dropped its lease) after
+                # _pending_fingerprints listed it: running it again would
+                # only end in a stale completion.
+                os.unlink(lease_path)
+                return None
         else:
             # Takeover of an expired lease: atomic replace installs the
             # new token; the previous holder's renew/complete calls fail

@@ -1,12 +1,11 @@
 """Opt-in engine profiling: per-opcode and per-address hot-spot counts.
 
 The profiler wraps an emulator's dispatch structures *in place* — the
-fast engine's decoded-thunk trace (one wrapper per instruction address,
-so fused and fallback thunks are counted where they live), the legacy
-engine's opcode dispatch table, or the jit engine's compiled-block
-tables — and counts executions per opcode and per address.  Wrapping
-costs a Python call per retired thunk (per retired *block* on the jit
-engine), so this is strictly opt-in
+legacy engine's opcode dispatch table, or the jit engine's
+compiled-block tables plus its per-instruction table ``_trace`` — and
+counts executions per opcode and per address.  Wrapping costs a Python
+call per retired handler (per retired *block* on the jit engine), so
+this is strictly opt-in
 (``Pipeline.telemetry(profile_engine=True)`` or
 ``repro fuzz --profile-engine``); nothing is touched unless a profiler
 is installed before the emulator's first ``run()``.
@@ -15,8 +14,8 @@ On the jit engine a block wrapper attributes one execution to every
 instruction address in the block's span (``_block_spans_*``): compiled
 blocks have no per-instruction dispatch left to hook, so a conditional
 early exit still counts the block's tail — superblock-granular
-attribution, exact at block heads.  Instructions that fall back to
-thunks keep exact counts through the trace wrapper.
+attribution, exact at block heads.  Ender instructions and every other
+legacy-handler step keep exact counts through the ``_trace`` wrapper.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ class EngineProfiler:
     def __init__(self, hot_spots: int = 20) -> None:
         #: executions per lower-case opcode name.
         self.per_opcode: Dict[str, int] = {}
-        #: executions per instruction address (fast engine: per thunk).
+        #: executions per instruction address.
         self.per_address: Dict[int, int] = {}
         self.hot_spot_limit = hot_spots
         self._attached: set = set()
@@ -56,17 +55,17 @@ class EngineProfiler:
             self._wrap_dispatch(emulator)
 
     def _wrap_trace(self, emulator, trace) -> None:
-        """Fast engine: wrap every decoded thunk with a counting shim."""
+        """Jit engine: wrap every per-instruction step with a counting shim."""
         per_address = self.per_address
         per_opcode = self.per_opcode
-        for addr, thunk in list(trace.items()):
+        for addr, step in list(trace.items()):
             name = emulator.instructions[addr].opcode.name.lower()
 
-            def counting(m, _thunk=thunk, _addr=addr, _name=name,
+            def counting(m, _step=step, _addr=addr, _name=name,
                          _pa=per_address, _po=per_opcode):
                 _pa[_addr] = _pa.get(_addr, 0) + 1
                 _po[_name] = _po.get(_name, 0) + 1
-                return _thunk(m)
+                return _step(m)
 
             trace[addr] = counting
 

@@ -46,13 +46,13 @@ def _table4_rows(config, engine):
     return [row.as_dict() for row in rows]
 
 
-@pytest.mark.parametrize("engine", ["fast", "legacy"])
+@pytest.mark.parametrize("engine", ["jit", "legacy"])
 def test_table3_matches_golden(engine):
     golden = _golden()["table3"]
     assert _table3_rows(golden, engine) == golden["rows"]
 
 
-@pytest.mark.parametrize("engine", ["fast", "legacy"])
+@pytest.mark.parametrize("engine", ["jit", "legacy"])
 def test_table4_matches_golden(engine):
     golden = _golden()["table4"]
     assert _table4_rows(golden, engine) == golden["rows"]
@@ -60,8 +60,8 @@ def test_table4_matches_golden(engine):
 
 def _regenerate() -> None:
     golden = _golden()
-    golden["table3"]["rows"] = _table3_rows(golden["table3"], "fast")
-    golden["table4"]["rows"] = _table4_rows(golden["table4"], "fast")
+    golden["table3"]["rows"] = _table3_rows(golden["table3"], "jit")
+    golden["table4"]["rows"] = _table4_rows(golden["table4"], "jit")
     with GOLDEN_PATH.open("w") as handle:
         json.dump(golden, handle, indent=2, sort_keys=True)
         handle.write("\n")

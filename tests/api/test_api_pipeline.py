@@ -19,7 +19,7 @@ import repro.api as api
 def gadgets_run():
     """The canonical detect→patch→verify chain, facade-only."""
     return (api.pipeline(target="gadgets", seed=1234)
-            .engine("fast")
+            .engine("jit")
             .fuzz(iterations=400)
             .harden("fence")
             .refuzz()

@@ -75,13 +75,13 @@ def test_fuzz_stage_embeds_a_campaign_result():
 
 
 def test_engine_choice_is_result_invariant_through_the_facade():
-    fast = (api.pipeline(target="gadgets", seed=13, engine="fast")
-            .fuzz(iterations=40).report())
+    jit = (api.pipeline(target="gadgets", seed=13, engine="jit")
+           .fuzz(iterations=40).report())
     legacy = (api.pipeline(target="gadgets", seed=13, engine="legacy")
               .fuzz(iterations=40).report())
-    fast_payload = dict(fast.stage("fuzz").payload)
+    jit_payload = dict(jit.stage("fuzz").payload)
     legacy_payload = dict(legacy.stage("fuzz").payload)
     # The engine is recorded in the spec but never affects outcomes.
-    assert fast_payload.pop("spec")["engine"] == "fast"
+    assert jit_payload.pop("spec")["engine"] == "jit"
     assert legacy_payload.pop("spec")["engine"] == "legacy"
-    assert fast_payload == legacy_payload
+    assert jit_payload == legacy_payload

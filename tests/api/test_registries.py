@@ -87,7 +87,7 @@ def test_unregister_and_container_protocol():
 # ---------------------------------------------------------------------------
 
 def test_builtin_registries_contain_the_expected_plugins():
-    assert set(api.engine_names()) >= {"fast", "legacy"}
+    assert set(api.engine_names()) >= {"jit", "legacy"}
     assert set(api.strategy_names()) >= {"fence", "mask", "fence-all"}
     assert set(api.scheduler_names()) >= {"pool", "serial"}
     assert {"gadgets", "jsmn", "libyaml", "libhtp", "brotli",
@@ -96,7 +96,7 @@ def test_builtin_registries_contain_the_expected_plugins():
 
 def test_duplicate_builtin_names_are_rejected_everywhere():
     with pytest.raises(api.DuplicatePluginError):
-        api.register_engine("fast", lambda: None)
+        api.register_engine("jit", lambda: None)
     with pytest.raises(api.DuplicatePluginError):
         api.register_pass("fence", lambda sites: None)
     with pytest.raises(api.DuplicatePluginError):
@@ -112,7 +112,7 @@ def test_unknown_names_fail_with_options_at_the_facade():
     assert "jsmn" in str(excinfo.value)
     with pytest.raises(api.PipelineError) as excinfo:
         api.pipeline(target="gadgets", engine="turbo")
-    assert "fast" in str(excinfo.value)
+    assert "jit, legacy" in str(excinfo.value)
     with pytest.raises(api.PipelineError) as excinfo:
         api.pipeline(target="gadgets").fuzz(10).harden("nonsense")
     assert "fence" in str(excinfo.value)

@@ -82,6 +82,13 @@ def test_unknown_target_fails_cleanly(capsys):
     assert "available" in capsys.readouterr().err
 
 
+def test_retired_fast_engine_fails_cleanly(capsys):
+    assert main(["fuzz", "--target", "gadgets", "--engine", "fast",
+                 "--quiet"]) == 2
+    assert "unknown emulator engine 'fast'; available: jit, legacy" in (
+        capsys.readouterr().err)
+
+
 def test_campaign_subcommand_forwards(capsys):
     code = main(["campaign", "--targets", "gadgets", "--iterations", "10",
                  "--rounds", "1", "--seed", "3", "--quiet"])

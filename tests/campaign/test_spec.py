@@ -72,6 +72,8 @@ def test_spec_validation():
         CampaignSpec(targets=("gadgets",), rounds=0)
     with pytest.raises(ValueError):
         CampaignSpec(targets=("gadgets",), derive_seeds=False, shards=2)
+    with pytest.raises(ValueError, match="'fast'.*jit.*legacy"):
+        CampaignSpec(targets=("gadgets",), engine="fast")
 
 
 def test_legacy_seeding_uses_campaign_seed_directly():
@@ -87,6 +89,20 @@ def test_spec_dict_round_trip():
                         variants=("vanilla", "injected"), iterations=120,
                         rounds=3, shards=4, seed=7, workers=4)
     assert CampaignSpec.from_dict(spec.to_dict()) == spec
+
+
+def test_records_naming_the_retired_fast_engine_load_on_jit():
+    """Checkpoints and queue records written while the ``fast`` engine
+    existed still load; the engine is outside every fingerprint."""
+    spec = CampaignSpec(targets=("gadgets",), iterations=10, engine="legacy")
+    record = dict(spec.to_dict(), engine="fast")
+    loaded = CampaignSpec.from_dict(record)
+    assert loaded.engine == "jit"
+    assert loaded.fingerprint() == spec.fingerprint()
+    job = spec.jobs_for_round(0)[0]
+    job_record = dict(job.to_dict(), engine="fast")
+    assert JobSpec.from_dict(job_record).engine == "jit"
+    assert JobSpec.from_dict(job.to_dict()).engine == "legacy"
 
 
 def test_fingerprint_ignores_workers_but_not_shards():

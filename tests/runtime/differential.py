@@ -1,6 +1,6 @@
 """Reusable cross-engine differential harness.
 
-Every execution engine (``legacy``, ``fast``, ``jit``) is only allowed to
+Every execution engine (``legacy``, ``jit``) is only allowed to
 change *how fast* executions run, never *what* they compute.  This module
 is the shared enforcement tool: :func:`assert_engines_identical` runs one
 target through every engine — across speculation-model variant sets and
@@ -13,7 +13,7 @@ kept test-framework-free so ad-hoc scripts, CI jobs and future engines
 can reuse it::
 
     from differential import assert_engines_identical
-    assert_engines_identical("gadgets", engines=("legacy", "fast", "jit"))
+    assert_engines_identical("gadgets", engines=("legacy", "jit"))
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 from repro.core.config import TeapotConfig
 from repro.core.teapot import TeapotRewriter, TeapotRuntime
 from repro.fuzzing.fuzzer import Fuzzer, FuzzTarget
-from repro.runtime.fastpath import engine_names, resolve_engine
+from repro.plugins import engine_names, resolve_engine
 from repro.runtime.speculation import (
     DisabledNestingPolicy,
     SpecFuzzNestingPolicy,

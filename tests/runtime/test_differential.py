@@ -1,12 +1,11 @@
-"""Differential suite: fast and jit engines must be bit-identical to legacy.
+"""Differential suite: the jit engine must be bit-identical to legacy.
 
-The fast emulator engine (decoded-trace dispatch + copy-on-write rollback
-journaling, :mod:`repro.runtime.fastpath`) and the jit engine (compiled
-basic blocks + persistent block cache, :mod:`repro.runtime.jit`) are only
+The jit engine (compiled basic blocks + copy-on-write rollback
+journaling + persistent block cache, :mod:`repro.runtime.jit`) is only
 allowed to change *how fast* executions run, never *what* they compute.
-This suite drives the reusable harness in :mod:`differential` over the
-full engine triple — every Kocher gadget sample, jsmn/libyaml smoke
-inputs, full fuzzing campaigns and all four speculation-model variants —
+This suite drives the reusable harness in :mod:`differential` over both
+engines — every Kocher gadget sample, jsmn/libyaml smoke inputs, full
+fuzzing campaigns and all four speculation-model variants —
 asserting identical :class:`ExecutionResult` records (status, exit
 status, steps, **cycle counts**, speculation statistics), identical
 gadget reports, and identical coverage maps, parametrized over every
@@ -28,14 +27,14 @@ from repro.baselines.specfuzz import SpecFuzzConfig, SpecFuzzRewriter, SpecFuzzR
 from repro.core.config import TeapotConfig
 from repro.core.teapot import TeapotRewriter, TeapotRuntime
 from repro.fuzzing.fuzzer import Fuzzer, FuzzTarget
+from repro.plugins import engine_names, resolve_engine
 from repro.runtime.emulator import Emulator
-from repro.runtime.fastpath import FastEmulator, engine_names, resolve_engine
 from repro.runtime.jit import JitEmulator
 from repro.targets import get_target
 from repro.targets.injection import compile_vanilla
 
-#: The full engine triple under test, baseline first.
-ENGINES = ("legacy", "fast", "jit")
+#: The engines under test, baseline first.
+ENGINES = ("legacy", "jit")
 
 #: Kocher-sample inputs: the four seed selectors plus mutated variants that
 #: drive each gadget shape in and out of bounds.
@@ -46,9 +45,9 @@ KOCHER_INPUTS = [
 ]
 
 
-def test_engine_registry_exposes_triple():
-    """All three engines are registered (plugins may add more)."""
-    assert set(ENGINES) <= set(engine_names())
+def test_engine_registry_is_legacy_and_jit():
+    """The built-in engines are exactly the oracle and the jit."""
+    assert engine_names() == ["jit", "legacy"]
 
 
 @pytest.mark.parametrize("policy_name", sorted(NESTING_POLICIES))
@@ -66,7 +65,7 @@ def test_kocher_samples_identical_across_engines(policy_name):
                          ids=lambda vs: "+".join(vs))
 def test_kocher_samples_identical_across_variants(variant_set):
     """Each speculation-model variant set (PHT/BTB/RSB/STL and the full
-    matrix) yields bit-identical runs on all three engines."""
+    matrix) yields bit-identical runs on both engines."""
     assert_engines_identical(
         "gadgets",
         engines=ENGINES,
@@ -89,7 +88,7 @@ def test_kocher_fuzzing_campaign_identical(policy_name):
 
 @pytest.mark.parametrize("target_name", ["jsmn", "libyaml"])
 def test_real_target_smoke_identical(target_name):
-    """jsmn/libyaml smoke inputs: identical results on all engines."""
+    """jsmn/libyaml smoke inputs: identical results on both engines."""
     target = get_target(target_name)
     inputs = list(target.seeds)[:2] + [target.perf_input(48)]
     assert_engines_identical(target, engines=ENGINES, inputs=inputs)
@@ -106,7 +105,6 @@ def test_specfuzz_runtime_identical_across_engines():
         records[engine] = [
             result_record(runtime.run(data)) for data in KOCHER_INPUTS[:8]
         ]
-    assert records["fast"] == records["legacy"]
     assert records["jit"] == records["legacy"]
 
 
@@ -115,10 +113,9 @@ def test_specfuzz_runtime_identical_across_engines():
 ])
 def test_variant_models_identical_across_engines(variants):
     """Speculation-model campaigns (BTB/RSB/STL, alone and combined) must
-    be engine-invariant: model sites funnel every engine through the same
-    shared handlers — the jit engine falls back to thunks there — and this
-    locks that in over full fuzzing loops on every planted gadget-sample
-    target."""
+    be engine-invariant: model sites funnel both engines through the same
+    shared legacy handlers, and this locks that in over full fuzzing loops
+    on every planted gadget-sample target."""
     for target_name in ("gadgets-btb", "gadgets-rsb", "gadgets-stl"):
         assert_campaigns_identical(
             target_name,
@@ -137,23 +134,15 @@ def test_fuzzer_engine_selection_rebuilds_target():
     runtime = TeapotRuntime(binary, config=config)
     assert runtime.engine == "legacy"
 
-    fuzzer = Fuzzer(FuzzTarget(runtime), seeds=list(target.seeds), seed=5,
-                    engine="fast")
-    assert fuzzer.target.runtime.engine == "fast"
-    assert isinstance(fuzzer.target.runtime.emulator, FastEmulator)
-
     jit_fuzzer = Fuzzer(FuzzTarget(runtime), seeds=list(target.seeds), seed=5,
                         engine="jit")
     assert jit_fuzzer.target.runtime.engine == "jit"
     assert isinstance(jit_fuzzer.target.runtime.emulator, JitEmulator)
 
     legacy_fuzzer = Fuzzer(FuzzTarget(runtime), seeds=list(target.seeds), seed=5)
-    fast_result = fuzzer.run_campaign(60)
     jit_result = jit_fuzzer.run_campaign(60)
     legacy_result = legacy_fuzzer.run_campaign(60)
-    assert fast_result.total_cycles == legacy_result.total_cycles
     assert jit_result.total_cycles == legacy_result.total_cycles
-    assert fast_result.reports.to_dicts() == legacy_result.reports.to_dicts()
     assert jit_result.reports.to_dicts() == legacy_result.reports.to_dicts()
 
 
@@ -162,7 +151,7 @@ def test_fuzzer_engine_selection_requires_support():
     target = get_target("gadgets")
     binary = compile_vanilla(target)
     with pytest.raises(ValueError, match="engine selection"):
-        Fuzzer(FuzzTarget(Emulator(binary)), seeds=[b"\x00"], engine="fast")
+        Fuzzer(FuzzTarget(Emulator(binary)), seeds=[b"\x00"], engine="jit")
 
 
 def test_resolve_engine_rejects_unknown():

@@ -2,13 +2,13 @@
 
 Hypothesis generates random straight-line and branchy instruction
 sequences through :mod:`repro.isa.builder`, assembles them, and runs
-them through every engine: the compiled blocks' final register file,
+them through both engines: the compiled blocks' final register file,
 flags, memory, DIFT tags and execution record must match the
-single-stepping legacy and fast engines exactly.  A second property
-drives *mid-block rollback*: a speculated (architecturally dead)
-random sequence with a forced rollback placed at every instruction
-boundary in turn, checking that the copy-on-write journal depth at
-rollback and the restored state agree between the journaling engines.
+single-stepping legacy engine exactly.  A second property drives
+*mid-block rollback*: a speculated (architecturally dead) random
+sequence with a forced rollback placed at every instruction boundary
+in turn, checking that the jit's copy-on-write journal restores the
+state the legacy snapshot restores.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from repro.isa.builder import FunctionBuilder
 from repro.isa.operands import Imm, Label, Mem, Reg
 from repro.isa.registers import Register
 from repro.loader.binary_format import DataObject
-from repro.runtime.fastpath import resolve_engine
+from repro.plugins import resolve_engine
 from repro.runtime.speculation import TeapotNestingPolicy
 from repro.sanitizers.policy import KasperPolicy
 
-ENGINES = ("legacy", "fast", "jit")
+ENGINES = ("legacy", "jit")
 
 #: Scratch registers the generated sequences compute in.  R6 is reserved
 #: as the data-buffer base, R7 stays zero, SP/FP belong to the frame.
@@ -176,34 +176,17 @@ def _final_state(emulator, binary):
     }
 
 
-def _assert_engines_agree(binary, data: bytes, spy_rollbacks: bool = False):
+def _assert_engines_agree(binary, data: bytes):
     outcomes = {}
     for engine in ENGINES:
         emulator = _build_emulator(binary, engine)
-        depths = []
-        if spy_rollbacks and engine != "legacy":
-            controller = emulator.controller
-            inner = controller.rollback
-
-            def spying(machine, dift, reason, _c=controller, _i=inner,
-                       _d=depths):
-                _d.append((reason, len(_c.journal.entries)))
-                return _i(machine, dift, reason)
-
-            controller.rollback = spying
         record = result_record(emulator.run(data))
-        outcomes[engine] = (record, _final_state(emulator, binary), depths)
-    for engine in ("fast", "jit"):
-        assert outcomes[engine][0] == outcomes["legacy"][0], (
-            f"{engine} record diverged from legacy on input {data[:16].hex()}"
-        )
-        assert outcomes[engine][1] == outcomes["legacy"][1], (
-            f"{engine} final state diverged from legacy "
-            f"on input {data[:16].hex()}"
-        )
-    # Journal depth at every rollback: jit must mirror the fast engine.
-    assert outcomes["jit"][2] == outcomes["fast"][2], (
-        "jit journal depths at rollback diverged from fast"
+        outcomes[engine] = (record, _final_state(emulator, binary))
+    assert outcomes["jit"][0] == outcomes["legacy"][0], (
+        f"jit record diverged from legacy on input {data[:16].hex()}"
+    )
+    assert outcomes["jit"][1] == outcomes["legacy"][1], (
+        f"jit final state diverged from legacy on input {data[:16].hex()}"
     )
     return outcomes
 
@@ -214,7 +197,7 @@ def _assert_engines_agree(binary, data: bytes, spy_rollbacks: bool = False):
           suppress_health_check=[HealthCheck.too_slow])
 @given(ops=_ops, data=_input)
 def test_straight_line_blocks_match_single_step(ops, data):
-    """Random straight-line sequences: identical state on all engines."""
+    """Random straight-line sequences: identical state on both engines."""
     binary = _build_binary(lambda fn: _emit_ops(fn, ops))
     _assert_engines_agree(binary, data)
 
@@ -247,9 +230,8 @@ def test_branchy_blocks_match_single_step(chunks, tail, data):
        boundary=st.integers(min_value=0, max_value=12), data=_input)
 def test_mid_block_rollback_at_every_boundary(ops, boundary, data):
     """A speculated random sequence with a forced rollback at a drawn
-    instruction boundary: the journaling engines must undo exactly the
-    same journal depth and restore the same state the legacy snapshot
-    restores."""
+    instruction boundary: the jit's journal rollback must restore the
+    same state the legacy snapshot restores."""
     boundary = min(boundary, len(ops))
 
     def body(fn):
@@ -268,7 +250,7 @@ def test_mid_block_rollback_at_every_boundary(ops, boundary, data):
 
     data = bytes([data[0]]) + b"\xff" + data[2:]  # force inbuf[0:8] >= 1000
     binary = TeapotRewriter(TeapotConfig()).instrument(_build_binary(body))
-    outcomes = _assert_engines_agree(binary, data, spy_rollbacks=True)
+    outcomes = _assert_engines_agree(binary, data)
     record = outcomes["legacy"][0]
     assert record["spec_stats"]["simulations_started"] >= 1, (
         "the guarded branch never speculated — the property is vacuous"

@@ -110,17 +110,17 @@ def test_cross_process_reuse(cache_dir, gadgets_binary):
 
 
 def test_pool_scheduler_campaign_reuses_cache(cache_dir):
-    """A multi-worker jit campaign completes bit-identically to fast and
+    """A multi-worker jit campaign completes bit-identically to legacy and
     leaves (and reuses) shared cache entries for its worker processes."""
     params = dict(targets=("gadgets",), tools=("teapot",), iterations=20,
                   rounds=2, shards=2, seed=13, workers=3)
     jit_summary = run_campaign(CampaignSpec(engine="jit", **params))
     assert _cache_files(cache_dir), "campaign left no cache entries"
-    fast_summary = run_campaign(CampaignSpec(engine="fast", **params))
+    legacy_summary = run_campaign(CampaignSpec(engine="legacy", **params))
     jit_dict = jit_summary.to_dict()
-    fast_dict = fast_summary.to_dict()
+    legacy_dict = legacy_summary.to_dict()
     # identical results; engine is execution mechanics, not fingerprint
-    assert jit_dict == fast_dict
+    assert jit_dict == legacy_dict
 
     # a serial rerun in this process reuses the entries the workers
     # published instead of compiling anything new

@@ -45,9 +45,10 @@ def test_fleet_drains_the_queue(tmp_path, monkeypatch):
             record = queue.result(fingerprint)
             assert record["status"] == "completed"
             assert record["result"]["executions"] == 5
-        counts = fleet.counts()
-        assert counts["completed"] == 4
-        assert counts["alive"] == 3
+        # A worker bumps its count just after its completion lands.
+        assert wait_until(lambda: fleet.counts()["completed"] == 4,
+                          timeout=10)
+        assert fleet.counts()["alive"] == 3
     finally:
         fleet.stop()
     assert fleet.counts()["alive"] == 0

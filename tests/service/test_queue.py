@@ -65,6 +65,22 @@ def test_completion_is_exactly_once(tmp_path):
     assert queue.result(lease.fingerprint)["result"]["executions"] == 5
 
 
+def test_claim_skips_a_job_completed_after_listing(tmp_path):
+    """A peer can complete a job (dropping its lease) between the pending
+    listing and the lease acquisition; the late claimer must not win a
+    fresh lease and run the job a second time."""
+    queue = _queue(tmp_path)
+    fingerprint = queue.submit("c1", _job())
+    lease = queue.claim("w0", visibility_timeout=30)
+    assert queue.complete(lease.fingerprint, lease.token,
+                          {"executions": 5}) is True
+    assert not os.path.exists(queue._lease_path(fingerprint))
+    # The claimer that listed the job before the completion landed:
+    assert queue._try_acquire(fingerprint, "w1", 30) is None
+    assert not os.path.exists(queue._lease_path(fingerprint))
+    assert queue.result(fingerprint)["result"]["executions"] == 5
+
+
 def test_expired_lease_is_taken_over(tmp_path):
     queue = _queue(tmp_path)
     queue.submit("c1", _job())

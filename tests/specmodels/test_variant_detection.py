@@ -5,7 +5,7 @@ These pin the headline guarantees of the speculation-model subsystem:
 
 * each planted gadget-sample target yields >= 2 (in fact exactly 4) unique
   sites under its own variant, attributed to that variant,
-* the fast and legacy engines produce bit-identical results with any
+* the jit and legacy engines produce bit-identical results with any
   variant set active (differential harness extension),
 * campaigns fan the (target x tool) matrix over a third, speculation-
   variant axis whose checkpoints resume across variant sets, and
@@ -81,7 +81,7 @@ def test_planted_sites_detected_identically_on_both_engines(
     target = get_target(f"gadgets-{variant}")
     binary = variant_binaries[variant]
     records = {}
-    for engine in ("legacy", "fast"):
+    for engine in ("legacy", "jit"):
         config = TeapotConfig(engine=engine, variants=(variant,))
         fuzzer = Fuzzer(FuzzTarget(TeapotRuntime(binary, config=config)),
                         seeds=list(target.seeds), seed=7)
@@ -93,7 +93,7 @@ def test_planted_sites_detected_identically_on_both_engines(
         assert {report.variant for report in result.reports} == {variant}
         # Speculation entries of the model were accounted separately.
         assert result.spec_stats[f"entered_{variant}"] > 0
-    assert records["fast"] == records["legacy"], (
+    assert records["jit"] == records["legacy"], (
         f"{variant}: engines diverged")
 
 
@@ -219,7 +219,7 @@ def test_specfuzz_baseline_gains_variants(variant_binaries):
     config = SpecFuzzConfig(variants=("stl",))
     binary = SpecFuzzRewriter(config).instrument(compile_vanilla(target))
     records = {}
-    for engine in ("legacy", "fast"):
+    for engine in ("legacy", "jit"):
         runtime = SpecFuzzRuntime(binary,
                                   config=config.with_engine(engine))
         outcomes = []
@@ -232,4 +232,4 @@ def test_specfuzz_baseline_gains_variants(variant_binaries):
         records[engine] = outcomes
         assert len(sites) >= 2
         assert all(site[3] == "stl" for site in sites)
-    assert records["fast"] == records["legacy"]
+    assert records["jit"] == records["legacy"]
